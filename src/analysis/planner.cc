@@ -1,9 +1,12 @@
 #include "src/analysis/planner.h"
 
 #include <algorithm>
-#include <functional>
 #include <numeric>
+#include <tuple>
 #include <utility>
+
+#include "src/util/hash.h"
+#include "src/util/logging.h"
 
 namespace dpc {
 
@@ -83,6 +86,85 @@ struct Scheduler {
     }
   }
 };
+
+// Resolves the plan's variables to slots in execution order — event
+// atom, pre-assignments, then each step's probe key, atom and assignments
+// — exactly the order in which evaluation binds them, so each slot's
+// index is its binding order and the slots bound at any point are a
+// prefix. Whether an assignment binds or checks, and whether an atom
+// column binds or checks, is therefore decided here once per rule.
+class SlotCompiler {
+ public:
+  explicit SlotCompiler(RulePlan& plan) : plan_(plan) {}
+
+  std::vector<SlotOp> AtomOps(const Atom& atom) {
+    std::vector<SlotOp> ops(atom.args.size());
+    for (size_t i = 0; i < atom.args.size(); ++i) {
+      const Term& t = atom.args[i];
+      if (!t.is_var()) continue;  // kCheckConst
+      auto [slot, fresh] = Bind(t.var);
+      ops[i].kind = fresh ? SlotOp::Kind::kBind : SlotOp::Kind::kCheckSlot;
+      ops[i].slot = slot;
+    }
+    return ops;
+  }
+
+  std::vector<SlotAssignment> AssignmentOps(const Rule& rule,
+                                            const std::vector<size_t>& asns) {
+    std::vector<SlotAssignment> out;
+    out.reserve(asns.size());
+    for (size_t i : asns) {
+      SlotAssignment sa;
+      sa.bound = bound();
+      std::tie(sa.slot, sa.binds) = Bind(rule.assignments[i].var);
+      out.push_back(sa);
+    }
+    return out;
+  }
+
+  // The slot bound to `var`, or -1 when nothing has bound it yet.
+  int32_t SlotOf(const std::string& var) const {
+    auto it = slot_of_.find(var);
+    return it == slot_of_.end() ? -1 : static_cast<int32_t>(it->second);
+  }
+
+  uint32_t bound() const { return static_cast<uint32_t>(slot_of_.size()); }
+
+ private:
+  // (slot, true) for a first binding; (existing slot, false) otherwise.
+  std::pair<uint32_t, bool> Bind(const std::string& var) {
+    auto [it, fresh] = slot_of_.emplace(var, bound());
+    if (fresh) plan_.slot_vars.push_back(var);
+    return {it->second, fresh};
+  }
+
+  RulePlan& plan_;
+  std::map<std::string, uint32_t> slot_of_;
+};
+
+void CompileSlots(const Rule& rule, RulePlan& plan) {
+  SlotCompiler c(plan);
+  plan.event_ops = c.AtomOps(rule.EventAtom());
+  plan.pre_slot_assignments = c.AssignmentOps(rule, plan.pre_assignments);
+  plan.pre_constraint_slots = c.bound();
+  for (PlanStep& step : plan.steps) {
+    const Atom& atom = rule.atoms[step.atom_index];
+    // The key reads slots bound by earlier steps: compile it before this
+    // atom's own bindings.
+    for (size_t col : step.bound_columns) {
+      const Term& t = atom.args[col];
+      int32_t slot = t.is_var() ? c.SlotOf(t.var) : -1;
+      DPC_CHECK(!t.is_var() || slot >= 0);  // bound_columns are bound
+      step.key_slots.push_back(slot);
+    }
+    step.ops = c.AtomOps(atom);
+    step.slot_assignments = c.AssignmentOps(rule, step.assignments);
+    step.constraint_slots = c.bound();
+  }
+  for (const Term& t : rule.head.args) {
+    plan.head_slots.push_back(t.is_var() ? c.SlotOf(t.var) : -1);
+  }
+}
 
 }  // namespace
 
@@ -178,19 +260,15 @@ RulePlan PlanRule(const Rule& rule) {
                          plan.steps.back().constraints);
   }
 
-  // Batchability flags: body order permutation, order-safety of the naive
-  // fallback, and whether step 0's probe key reads straight off the event.
+  CompileSlots(rule, plan);
   plan.body_order.resize(plan.steps.size());
   std::iota(plan.body_order.begin(), plan.body_order.end(), size_t{0});
   std::sort(plan.body_order.begin(), plan.body_order.end(),
             [&](size_t a, size_t b) {
               return plan.steps[a].atom_index < plan.steps[b].atom_index;
             });
-  plan.naive_order_safe = std::is_sorted(
-      plan.steps.begin(), plan.steps.end(),
-      [](const PlanStep& a, const PlanStep& b) {
-        return a.atom_index < b.atom_index;
-      });
+
+  // Batchability: whether step 0's probe key reads straight off the event.
   if (!plan.steps.empty() && !plan.steps[0].bound_columns.empty()) {
     const Atom& first = rule.atoms[plan.steps[0].atom_index];
     const Atom& event_atom = rule.EventAtom();
@@ -245,136 +323,164 @@ ProgramPlan PlanProgram(const Program& program) {
   return PlanRules(program.rules());
 }
 
-bool UseNaiveFallback(const Rule& rule, const RulePlan& plan,
-                      const Database& db) {
-  if (!plan.naive_order_safe || plan.steps.empty() || plan.never_fires) {
-    return false;
-  }
-  for (const PlanStep& step : plan.steps) {
-    const Table* table = db.Find(rule.atoms[step.atom_index].relation);
-    if (table != nullptr && table->size() > plan.small_table_fallback_rows) {
-      return false;
+RuleExecutor::RuleExecutor(const Rule& rule, const RulePlan& plan,
+                           const Database& db, const FunctionRegistry& fns)
+    : rule_(rule),
+      plan_(plan),
+      db_(db),
+      fns_(fns),
+      slots_(plan.slot_vars.size(), nullptr),
+      depth_(plan.steps.size()) {}
+
+// MatchAtom over the precompiled ops; the relation check is the caller's
+// (a table only holds its own relation's tuples).
+bool RuleExecutor::Unify(const Atom& atom, const std::vector<SlotOp>& ops,
+                         const Tuple& tuple) {
+  if (tuple.arity() != ops.size()) return false;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Value& v = tuple.at(i);
+    switch (ops[i].kind) {
+      case SlotOp::Kind::kBind:
+        slots_[ops[i].slot] = &v;
+        break;
+      case SlotOp::Kind::kCheckSlot:
+        if (*slots_[ops[i].slot] != v) return false;
+        break;
+      case SlotOp::Kind::kCheckConst:
+        if (atom.args[i].constant != v) return false;
+        break;
     }
   }
   return true;
 }
 
-PlanExecutor::PlanExecutor(const Rule& rule, const RulePlan& plan,
-                           const FunctionRegistry& fns)
-    : rule_(rule),
-      plan_(plan),
-      fns_(fns),
-      joined_(plan.steps.size(), nullptr),
-      keys_(plan.steps.size()) {}
+Result<Value> RuleExecutor::Eval(const Expr& expr, uint32_t readable) const {
+  return EvalExprWith(
+      expr,
+      [&](const std::string& var) -> const Value* {
+        for (uint32_t s = 0; s < readable; ++s) {
+          if (plan_.slot_vars[s] == var) return slots_[s];
+        }
+        return nullptr;
+      },
+      fns_);
+}
 
-// Evaluates the assignments/constraints placed at one plan position.
-// Returns false to prune the current branch (filter failed), true to
-// continue; evaluation errors surface as a Status.
-Result<bool> PlanExecutor::Apply(const std::vector<size_t>& asns,
-                                 const std::vector<size_t>& cons) {
-  for (size_t i : asns) {
-    const Assignment& asn = rule_.assignments[i];
-    DPC_ASSIGN_OR_RETURN(Value v, EvalExpr(*asn.expr, env_, fns_));
-    auto it = env_.find(asn.var);
-    if (it == env_.end()) {
-      env_.emplace(asn.var, std::move(v));
-      trail_.push_back(asn.var);
-    } else if (it->second != v) {
-      return false;
+Result<bool> RuleExecutor::Apply(
+    const std::vector<size_t>& assignments,
+    const std::vector<SlotAssignment>& slot_assignments,
+    const std::vector<size_t>& constraints, uint32_t constraint_slots) {
+  for (size_t k = 0; k < assignments.size(); ++k) {
+    const SlotAssignment& sa = slot_assignments[k];
+    DPC_ASSIGN_OR_RETURN(
+        Value v, Eval(*rule_.assignments[assignments[k]].expr, sa.bound));
+    if (!sa.binds) {
+      if (*slots_[sa.slot] != v) return false;
+      continue;
     }
+    if (computed_.empty()) computed_.resize(slots_.size());
+    computed_[sa.slot] = std::move(v);
+    slots_[sa.slot] = &computed_[sa.slot];
   }
-  for (size_t i : cons) {
+  for (size_t i : constraints) {
     DPC_ASSIGN_OR_RETURN(Value v,
-                         EvalExpr(*rule_.constraints[i].expr, env_, fns_));
+                         Eval(*rule_.constraints[i].expr, constraint_slots));
     if (!v.Truthy()) return false;
   }
   return true;
 }
 
-Status PlanExecutor::Join(size_t idx) {
-  if (idx == plan_.steps.size()) {
-    DPC_ASSIGN_OR_RETURN(Tuple head, InstantiateAtom(rule_.head, env_));
-    RuleFiring firing;
-    firing.head = std::move(head);
-    firing.slow_tuples.reserve(plan_.steps.size());
-    for (size_t step : plan_.body_order) {
-      firing.slow_tuples.push_back(*joined_[step]);
+Status RuleExecutor::AppendFiring() {
+  const Atom& head = rule_.head;
+  std::vector<Value> values;
+  values.reserve(head.args.size());
+  for (size_t i = 0; i < head.args.size(); ++i) {
+    const Term& t = head.args[i];
+    int32_t slot = plan_.head_slots[i];
+    if (slot >= 0) {
+      values.push_back(*slots_[static_cast<size_t>(slot)]);
+    } else if (!t.is_var()) {
+      values.push_back(t.constant);
+    } else {
+      return Status::InvalidArgument("unbound variable " + t.var +
+                                     " in atom " + head.relation);
     }
-    out_->push_back(std::move(firing));
-    return Status::OK();
   }
-  const PlanStep& step = plan_.steps[idx];
-  const Atom& atom = rule_.atoms[step.atom_index];
-
-  Status st;
-  auto visit = [&](const TupleRef& candidate) {
-    size_t mark = trail_.size();
-    // Full unification re-verifies the probed columns: the index matches
-    // on hashes, and repeated/unbound columns still need binding.
-    if (MatchAtom(atom, *candidate, env_, trail_)) {
-      Result<bool> keep = Apply(step.assignments, step.constraints);
-      if (!keep.ok()) {
-        st = keep.status();
-      } else if (*keep) {
-        joined_[idx] = &candidate;
-        st = Join(idx + 1);
-      }
-      if (!st.ok()) {
-        UndoTrail(env_, trail_, mark);
-        return false;
-      }
-    }
-    UndoTrail(env_, trail_, mark);
-    return true;
-  };
-
-  if (idx == 0 && first_candidates_ != nullptr) {
-    for (const TupleRef* candidate : *first_candidates_) {
-      if (!visit(*candidate)) break;
-    }
-    return st;
+  RuleFiring firing;
+  firing.head = Tuple(head.relation, std::move(values));
+  firing.slow_tuples.reserve(depth_.size());
+  for (size_t step : plan_.body_order) {
+    firing.slow_tuples.push_back(*depth_[step].joined);
   }
-
-  const Table* table = db_->Find(atom.relation);
-  if (table == nullptr) return Status::OK();
-  if (step.bound_columns.empty()) {
-    table->ForEachRef(visit);
-  } else {
-    std::vector<Value>& key = keys_[idx];
-    key.clear();
-    for (size_t col : step.bound_columns) {
-      const Term& t = atom.args[col];
-      if (t.is_var()) {
-        auto it = env_.find(t.var);
-        if (it == env_.end()) {
-          return Status::Internal("plan probes unbound variable " + t.var +
-                                  " in rule " + rule_.id);
-        }
-        key.push_back(it->second);
-      } else {
-        key.push_back(t.constant);
-      }
-    }
-    table->ForEachMatchRef(step.bound_columns, key, visit);
-  }
-  return st;
+  out_->push_back(std::move(firing));
+  return Status::OK();
 }
 
-Status PlanExecutor::Execute(
-    const Tuple& event, const Database& db,
-    const std::vector<const TupleRef*>* first_candidates,
+Status RuleExecutor::Join(size_t idx) {
+  if (idx == plan_.steps.size()) return AppendFiring();
+  const PlanStep& step = plan_.steps[idx];
+  const Atom& atom = rule_.atoms[step.atom_index];
+  Depth& d = depth_[idx];
+
+  const std::vector<const TupleRef*>* candidates = &d.candidates;
+  if (idx == 0 && first_candidates_ != nullptr) {
+    candidates = first_candidates_;
+  } else {
+    if (!d.resolved) {
+      d.table = db_.Find(atom.relation);
+      if (d.table != nullptr && !step.bound_columns.empty()) {
+        d.index = &d.table->IndexFor(step.bound_columns);
+      }
+      d.resolved = true;
+    }
+    if (d.table == nullptr) return Status::OK();  // relation has no table
+    d.candidates.clear();
+    if (d.index == nullptr) {
+      d.table->ForEachRef([&](const TupleRef& t) {
+        d.candidates.push_back(&t);
+        return true;
+      });
+    } else {
+      Fnv1a key;
+      for (size_t k = 0; k < step.key_slots.size(); ++k) {
+        int32_t slot = step.key_slots[k];
+        const Value& v = slot >= 0
+                             ? *slots_[static_cast<size_t>(slot)]
+                             : atom.args[step.bound_columns[k]].constant;
+        v.HashInto(key);
+      }
+      d.table->CollectFromIndex(*d.index, key.hash(), d.candidates);
+    }
+  }
+
+  for (const TupleRef* candidate : *candidates) {
+    // Full unification re-verifies the probed columns: the index matches
+    // on hashes, and repeated/unbound columns still need binding.
+    if (!Unify(atom, step.ops, **candidate)) continue;
+    DPC_ASSIGN_OR_RETURN(bool keep,
+                         Apply(step.assignments, step.slot_assignments,
+                               step.constraints, step.constraint_slots));
+    if (!keep) continue;
+    d.joined = candidate;
+    DPC_RETURN_NOT_OK(Join(idx + 1));
+  }
+  return Status::OK();
+}
+
+Status RuleExecutor::Execute(
+    const Tuple& event, const std::vector<const TupleRef*>* first_candidates,
     std::vector<RuleFiring>& out) {
   if (plan_.never_fires) return Status::OK();
-  env_.clear();  // clear() keeps the map's buckets: no realloc per event
-  trail_.clear();
-  if (!MatchAtom(rule_.EventAtom(), event, env_)) {
+  if (event.relation() != rule_.EventAtom().relation ||
+      !Unify(rule_.EventAtom(), plan_.event_ops, event)) {
     return Status::OK();  // The event does not instantiate this trigger.
   }
-  db_ = &db;
   first_candidates_ = first_candidates;
   out_ = &out;
   DPC_ASSIGN_OR_RETURN(bool keep,
-                       Apply(plan_.pre_assignments, plan_.pre_constraints));
+                       Apply(plan_.pre_assignments, plan_.pre_slot_assignments,
+                             plan_.pre_constraints,
+                             plan_.pre_constraint_slots));
   if (!keep) return Status::OK();
   return Join(0);
 }
@@ -385,14 +491,8 @@ Result<std::vector<RuleFiring>> FireRulePlanned(const Rule& rule,
                                                 const Database& db,
                                                 const FunctionRegistry& fns) {
   std::vector<RuleFiring> out;
-  if (plan.never_fires) return out;
-  if (UseNaiveFallback(rule, plan, db)) {
-    // Tiny tables: naive nested loops beat plan setup, and order safety
-    // guarantees the identical firing sequence.
-    return FireRule(rule, event, db, fns);
-  }
-  PlanExecutor exec(rule, plan, fns);
-  DPC_RETURN_NOT_OK(exec.Execute(event, db, nullptr, out));
+  RuleExecutor exec(rule, plan, db, fns);
+  DPC_RETURN_NOT_OK(exec.Execute(event, nullptr, out));
   return out;
 }
 

@@ -23,12 +23,6 @@ uint64_t Table::KeyHashOf(const IndexSignature& sig, const Tuple& t) {
   return h.hash();
 }
 
-uint64_t Table::KeyHashOf(const std::vector<Value>& key) {
-  Fnv1a h;
-  for (const Value& v : key) v.HashInto(h);
-  return h.hash();
-}
-
 const Table::HashIndex& Table::IndexFor(const IndexSignature& sig) const {
   auto it = indexes_.find(sig);
   if (it == indexes_.end()) {
@@ -44,18 +38,6 @@ const Table::HashIndex& Table::IndexFor(const IndexSignature& sig) const {
   return it->second;
 }
 
-const std::vector<size_t>* Table::ProbeBucketByHash(const IndexSignature& sig,
-                                                    uint64_t key_hash) const {
-  const HashIndex& index = IndexFor(sig);
-  auto bucket = index.buckets.find(key_hash);
-  return bucket == index.buckets.end() ? nullptr : &bucket->second;
-}
-
-const std::vector<size_t>* Table::ProbeBucket(
-    const IndexSignature& sig, const std::vector<Value>& key) const {
-  return ProbeBucketByHash(sig, KeyHashOf(key));
-}
-
 void Table::CollectFromIndex(const HashIndex& index, uint64_t key_hash,
                              std::vector<const TupleRef*>& out) const {
   auto it = index.buckets.find(key_hash);
@@ -64,11 +46,6 @@ void Table::CollectFromIndex(const HashIndex& index, uint64_t key_hash,
     const Slot& slot = rows_[row];
     if (slot.live) out.push_back(&slot.tuple);
   }
-}
-
-void Table::CollectMatchRefs(const IndexSignature& sig, uint64_t key_hash,
-                             std::vector<const TupleRef*>& out) const {
-  CollectFromIndex(IndexFor(sig), key_hash, out);
 }
 
 bool Table::Insert(const Tuple& t) {

@@ -71,33 +71,6 @@ class Table {
     }
   }
 
-  // Applies `fn` (in insertion order) to each live tuple whose values at
-  // `sig`'s columns equal `key` (aligned with `sig`, which must be sorted
-  // and non-empty); `fn` returns false to stop early. The first probe of a
-  // signature builds a hash index over it; the index is maintained
-  // incrementally by Insert/Erase thereafter. Buckets key on a 64-bit
-  // content hash, so callers must verify candidates (which full
-  // unification does anyway).
-  template <typename Fn>
-  void ForEachMatch(const IndexSignature& sig, const std::vector<Value>& key,
-                    Fn&& fn) const {
-    ForEachMatchRef(sig, key,
-                    [&](const TupleRef& t) { return fn(*t); });
-  }
-
-  // As ForEachMatch, handing out the shared row handle.
-  template <typename Fn>
-  void ForEachMatchRef(const IndexSignature& sig,
-                       const std::vector<Value>& key, Fn&& fn) const {
-    const std::vector<size_t>* bucket = ProbeBucket(sig, key);
-    if (bucket == nullptr) return;
-    for (size_t row : *bucket) {
-      const Slot& slot = rows_[row];
-      if (!slot.live) continue;
-      if (!fn(slot.tuple)) return;
-    }
-  }
-
   // One signature's lazily built hash index. Opaque to callers: obtain
   // with IndexFor, probe with CollectFromIndex. Handles are stable across
   // Insert/Erase (the index map's nodes never move and buckets are
@@ -106,27 +79,19 @@ class Table {
     std::unordered_map<uint64_t, std::vector<size_t>> buckets;
   };
 
-  // Resolves (building on first use) the index over `sig`, so repeated
-  // probes skip the per-probe signature lookup. The batch evaluator
-  // resolves each plan step's index once per batch.
+  // Resolves the hash index over `sig` (sorted, non-empty column
+  // positions). The first call for a signature builds the index; Insert
+  // and Erase maintain it incrementally thereafter. The rule executor
+  // resolves each plan step's index once per executor, not per probe.
   const HashIndex& IndexFor(const IndexSignature& sig) const;
 
   // Appends (in insertion order) the shared row handles of the live
   // tuples in `key_hash`'s bucket of `index` (which must belong to this
-  // table). `key_hash` must have been produced the way KeyHashOf does
-  // (each key value's HashInto, in column order); buckets key on that
-  // hash alone, so callers must verify candidates by full unification as
-  // with ForEachMatchRef.
+  // table). `key_hash` is the FNV-1a fold of the key values' HashInto, in
+  // column order. Buckets key on that 64-bit hash alone, so callers must
+  // verify candidates (full unification does).
   void CollectFromIndex(const HashIndex& index, uint64_t key_hash,
                         std::vector<const TupleRef*>& out) const;
-
-  // IndexFor + CollectFromIndex in one call, for single probes.
-  void CollectMatchRefs(const IndexSignature& sig, uint64_t key_hash,
-                        std::vector<const TupleRef*>& out) const;
-
-  // FNV-1a over `key`'s values, matching the per-tuple hash the index
-  // buckets key on. Public so batch callers can hash once and probe many.
-  static uint64_t KeyHashOf(const std::vector<Value>& key);
 
   size_t size() const { return live_count_; }
   bool empty() const { return live_count_ == 0; }
@@ -148,13 +113,6 @@ class Table {
   // FNV-1a over the tuple's values at `sig`'s columns (out-of-range
   // columns are skipped; unification re-checks arity anyway).
   static uint64_t KeyHashOf(const IndexSignature& sig, const Tuple& t);
-
-  // Returns the bucket for `key` in the (lazily built) index over `sig`;
-  // nullptr when no tuple matches.
-  const std::vector<size_t>* ProbeBucket(const IndexSignature& sig,
-                                         const std::vector<Value>& key) const;
-  const std::vector<size_t>* ProbeBucketByHash(const IndexSignature& sig,
-                                               uint64_t key_hash) const;
 
   // Shared insert body; `make_ref` is invoked only when the tuple is new.
   template <typename MakeRef>

@@ -2,9 +2,7 @@
 
 namespace dpc {
 
-namespace {
-
-Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
+Result<Value> EvalBinaryOp(Expr::Op op, const Value& lhs, const Value& rhs) {
   if (IsComparisonOp(op)) {
     if (lhs.kind() != rhs.kind()) {
       // Cross-type comparison: only (in)equality is meaningful.
@@ -53,6 +51,8 @@ Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
   }
 }
 
+namespace {
+
 bool MatchAtomImpl(const Atom& atom, const Tuple& tuple, Bindings& env,
                    std::vector<std::string>* trail) {
   if (atom.relation != tuple.relation()) return false;
@@ -78,32 +78,13 @@ bool MatchAtomImpl(const Atom& atom, const Tuple& tuple, Bindings& env,
 
 Result<Value> EvalExpr(const Expr& expr, const Bindings& env,
                        const FunctionRegistry& fns) {
-  switch (expr.kind) {
-    case Expr::Kind::kConst:
-      return expr.constant;
-    case Expr::Kind::kVar: {
-      auto it = env.find(expr.var);
-      if (it == env.end()) {
-        return Status::InvalidArgument("unbound variable " + expr.var);
-      }
-      return it->second;
-    }
-    case Expr::Kind::kBinary: {
-      DPC_ASSIGN_OR_RETURN(Value lhs, EvalExpr(*expr.lhs, env, fns));
-      DPC_ASSIGN_OR_RETURN(Value rhs, EvalExpr(*expr.rhs, env, fns));
-      return EvalBinary(expr.op, lhs, rhs);
-    }
-    case Expr::Kind::kCall: {
-      std::vector<Value> args;
-      args.reserve(expr.args.size());
-      for (const auto& a : expr.args) {
-        DPC_ASSIGN_OR_RETURN(Value v, EvalExpr(*a, env, fns));
-        args.push_back(std::move(v));
-      }
-      return fns.Call(expr.fn, args);
-    }
-  }
-  return Status::Internal("unhandled expression kind");
+  return EvalExprWith(
+      expr,
+      [&env](const std::string& var) -> const Value* {
+        auto it = env.find(var);
+        return it == env.end() ? nullptr : &it->second;
+      },
+      fns);
 }
 
 bool MatchAtom(const Atom& atom, const Tuple& tuple, Bindings& env) {

@@ -21,8 +21,46 @@ namespace dpc {
 // Variable name -> value environment built during matching.
 using Bindings = std::unordered_map<std::string, Value>;
 
-// Evaluates `expr` under `env`. Arithmetic requires integer operands;
+// Applies binary operator `op`. Arithmetic requires integer operands;
 // comparisons work on either type (ordered lexicographically for strings).
+Result<Value> EvalBinaryOp(Expr::Op op, const Value& lhs, const Value& rhs);
+
+// Evaluates `expr`, resolving each variable through `lookup(name)`, which
+// returns the bound value or nullptr. The one definition of expression
+// semantics: EvalExpr (string-keyed Bindings) and the planner's slot
+// executor (src/analysis/planner.h) both evaluate through it.
+template <typename Lookup>
+Result<Value> EvalExprWith(const Expr& expr, const Lookup& lookup,
+                           const FunctionRegistry& fns) {
+  switch (expr.kind) {
+    case Expr::Kind::kConst:
+      return expr.constant;
+    case Expr::Kind::kVar: {
+      const Value* v = lookup(expr.var);
+      if (v == nullptr) {
+        return Status::InvalidArgument("unbound variable " + expr.var);
+      }
+      return *v;
+    }
+    case Expr::Kind::kBinary: {
+      DPC_ASSIGN_OR_RETURN(Value lhs, EvalExprWith(*expr.lhs, lookup, fns));
+      DPC_ASSIGN_OR_RETURN(Value rhs, EvalExprWith(*expr.rhs, lookup, fns));
+      return EvalBinaryOp(expr.op, lhs, rhs);
+    }
+    case Expr::Kind::kCall: {
+      std::vector<Value> args;
+      args.reserve(expr.args.size());
+      for (const auto& a : expr.args) {
+        DPC_ASSIGN_OR_RETURN(Value v, EvalExprWith(*a, lookup, fns));
+        args.push_back(std::move(v));
+      }
+      return fns.Call(expr.fn, args);
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+// Evaluates `expr` under `env`.
 Result<Value> EvalExpr(const Expr& expr, const Bindings& env,
                        const FunctionRegistry& fns);
 
@@ -61,6 +99,12 @@ struct RuleFiring {
 // Fires `rule` with `event` as the instance of the rule's event atom,
 // joining condition atoms against `db` and applying assignments and
 // constraints. Returns every derivation (possibly none).
+//
+// This is the naive reference evaluator: condition atoms in textual body
+// order, each a full table scan, with assignments and constraints applied
+// at the join leaves. The runtime executes compiled plans instead
+// (FireRulePlanned, src/analysis/planner.h); tests and bench/eval_bench
+// compare against this.
 Result<std::vector<RuleFiring>> FireRule(const Rule& rule, const Tuple& event,
                                          const Database& db,
                                          const FunctionRegistry& fns);

@@ -1,9 +1,6 @@
 #include "src/runtime/batch_eval.h"
 
 #include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "src/db/table.h"
@@ -16,7 +13,7 @@ namespace {
 // First-probe key hash for one event, read directly off the event tuple's
 // positions (RulePlan::batch_first_key). Returns false when the event is
 // too short for some key position — such an event cannot match the rule's
-// event atom (MatchAtom checks arity first), so the caller routes it
+// event atom (unification checks arity first), so the caller routes it
 // through the plain per-event path, which yields no firings.
 bool FirstKeyHash(const RulePlan& plan, const Tuple& event, uint64_t* hash) {
   Fnv1a h;
@@ -33,223 +30,6 @@ bool FirstKeyHash(const RulePlan& plan, const Tuple& event, uint64_t* hash) {
   return true;
 }
 
-// Below this batch size the slot compile (a few dozen small allocations)
-// is not worth amortizing; the PlanExecutor path serves small batches.
-constexpr size_t kSlotCompileMinEvents = 4;
-
-// Positional executor: compiles a pure-join plan (no assignments, no
-// constraints, no scan steps) into match ops over dense value slots, so
-// the per-event inner loop touches no string-keyed Bindings map at all.
-// Variable names resolve to slot indexes once at compile time; each slot
-// is written by exactly one binder (an event-atom or step-atom position)
-// before any reader runs, so backtracking needs no trail — the next
-// candidate simply overwrites the step's slots.
-//
-// Equivalence with PlanExecutor on the compiled subset: candidates come
-// from the same lazy hash indexes in the same bucket order
-// (Table::CollectMatchRefs ≡ ForEachMatchRef), the ops re-verify exactly
-// what MatchAtom verifies (arity, constants, repeated variables), and
-// firings are emitted with slow_tuples restored to body order. Pure joins
-// cannot raise evaluation errors, so the status is always OK — as it is
-// for FireRulePlanned on such rules.
-class SlotExecutor {
- public:
-  // Compiles (rule, plan) into positional form; false when the plan is
-  // outside the compiled subset (the caller then uses PlanExecutor).
-  bool Compile(const Rule& rule, const RulePlan& plan) {
-    rule_ = &rule;
-    plan_ = &plan;
-    if (plan.never_fires || plan.steps.empty()) return false;
-    if (!plan.pre_assignments.empty() || !plan.pre_constraints.empty()) {
-      return false;
-    }
-    std::map<std::string, uint32_t> slot_of;
-    const Atom& event_atom = rule.EventAtom();
-    event_arity_ = event_atom.args.size();
-    CompileAtom(event_atom, slot_of, event_ops_);
-    steps_.clear();
-    steps_.reserve(plan.steps.size());
-    for (const PlanStep& ps : plan.steps) {
-      if (!ps.assignments.empty() || !ps.constraints.empty()) return false;
-      if (ps.bound_columns.empty()) return false;  // scan: stay on the
-                                                   // general path
-      Step step;
-      const Atom& atom = rule.atoms[ps.atom_index];
-      step.arity = atom.args.size();
-      // The probe key reads slots bound by earlier binders (or plan
-      // constants); compile it before this atom's ops assign new slots.
-      for (size_t col : ps.bound_columns) {
-        const Term& t = atom.args[col];
-        if (t.is_var()) {
-          auto it = slot_of.find(t.var);
-          if (it == slot_of.end()) return false;  // probes unbound var
-          step.key.emplace_back(static_cast<int32_t>(it->second), nullptr);
-        } else {
-          step.key.emplace_back(-1, &t.constant);
-        }
-      }
-      CompileAtom(atom, slot_of, step.ops);
-      step.sig = &ps.bound_columns;
-      step.relation = &atom.relation;
-      steps_.push_back(std::move(step));
-    }
-    head_src_.clear();
-    for (const Term& t : rule.head.args) {
-      if (t.is_var()) {
-        auto it = slot_of.find(t.var);
-        // An unbound head variable errors under InstantiateAtom; keep
-        // that path's fidelity by not compiling the rule.
-        if (it == slot_of.end()) return false;
-        head_src_.emplace_back(static_cast<int32_t>(it->second), nullptr);
-      } else {
-        head_src_.emplace_back(-1, &t.constant);
-      }
-    }
-    slots_.assign(slot_of.size(), Value());
-    joined_.assign(steps_.size(), nullptr);
-    cand_.assign(steps_.size(), {});
-    return true;
-  }
-
-  // Resolves each step's table and lazy hash index once for the whole
-  // batch (the database is frozen for the duration of the call), so the
-  // per-event inner loop skips the relation and signature lookups.
-  void Bind(const Database& db) {
-    for (Step& step : steps_) {
-      step.table = db.Find(*step.relation);
-      step.index = step.table != nullptr ? &step.table->IndexFor(*step.sig)
-                                         : nullptr;
-    }
-  }
-
-  void Execute(const Tuple& event,
-               const std::vector<const TupleRef*>* first_candidates,
-               std::vector<RuleFiring>& out) {
-    if (event.relation() != rule_->EventAtom().relation ||
-        event.arity() != event_arity_) {
-      return;  // cannot instantiate the trigger; no firings
-    }
-    if (!RunOps(event_ops_, event)) return;
-    first_candidates_ = first_candidates;
-    out_ = &out;
-    Join(0);
-  }
-
- private:
-  struct Op {
-    enum class Kind { kBind, kCheckSlot, kCheckConst };
-    Kind kind;
-    uint32_t pos;             // tuple position read
-    uint32_t slot = 0;        // kBind / kCheckSlot
-    const Value* constant = nullptr;  // kCheckConst
-  };
-  struct Step {
-    const IndexSignature* sig = nullptr;
-    const std::string* relation = nullptr;
-    const Table* table = nullptr;           // set by Bind
-    const Table::HashIndex* index = nullptr;  // set by Bind
-    size_t arity = 0;
-    std::vector<Op> ops;
-    // Probe-key sources in bound-column order: slot index, or a constant.
-    std::vector<std::pair<int32_t, const Value*>> key;
-  };
-
-  void CompileAtom(const Atom& atom, std::map<std::string, uint32_t>& slot_of,
-                   std::vector<Op>& ops) {
-    ops.clear();
-    for (size_t i = 0; i < atom.args.size(); ++i) {
-      const Term& t = atom.args[i];
-      Op op;
-      op.pos = static_cast<uint32_t>(i);
-      if (!t.is_var()) {
-        op.kind = Op::Kind::kCheckConst;
-        op.constant = &t.constant;
-      } else {
-        auto [it, inserted] =
-            slot_of.emplace(t.var, static_cast<uint32_t>(slot_of.size()));
-        op.kind = inserted ? Op::Kind::kBind : Op::Kind::kCheckSlot;
-        op.slot = it->second;
-      }
-      ops.push_back(op);
-    }
-  }
-
-  // Exactly MatchAtom's unification over the precompiled ops (the arity
-  // and relation checks live at the call sites).
-  bool RunOps(const std::vector<Op>& ops, const Tuple& t) {
-    for (const Op& op : ops) {
-      const Value& v = t.at(op.pos);
-      switch (op.kind) {
-        case Op::Kind::kBind:
-          slots_[op.slot] = v;
-          break;
-        case Op::Kind::kCheckSlot:
-          if (slots_[op.slot] != v) return false;
-          break;
-        case Op::Kind::kCheckConst:
-          if (*op.constant != v) return false;
-          break;
-      }
-    }
-    return true;
-  }
-
-  void Join(size_t idx) {
-    if (idx == steps_.size()) {
-      RuleFiring firing;
-      std::vector<Value> values;
-      values.reserve(head_src_.size());
-      for (const auto& [slot, constant] : head_src_) {
-        values.push_back(slot >= 0 ? slots_[static_cast<size_t>(slot)]
-                                   : *constant);
-      }
-      firing.head = Tuple(rule_->head.relation, std::move(values));
-      firing.slow_tuples.reserve(steps_.size());
-      for (size_t step : plan_->body_order) {
-        firing.slow_tuples.push_back(*joined_[step]);
-      }
-      out_->push_back(std::move(firing));
-      return;
-    }
-    Step& step = steps_[idx];
-    const std::vector<const TupleRef*>* candidates;
-    if (idx == 0 && first_candidates_ != nullptr) {
-      candidates = first_candidates_;
-    } else {
-      if (step.index == nullptr) return;  // relation has no table yet
-      Fnv1a h;
-      for (const auto& [slot, constant] : step.key) {
-        (slot >= 0 ? slots_[static_cast<size_t>(slot)] : *constant)
-            .HashInto(h);
-      }
-      cand_[idx].clear();
-      step.table->CollectFromIndex(*step.index, h.hash(), cand_[idx]);
-      candidates = &cand_[idx];
-    }
-    for (const TupleRef* candidate : *candidates) {
-      // Full re-verification, as PlanExecutor's MatchAtom does: the index
-      // matched on hashes only, and repeated/unbound columns still need
-      // checking and binding.
-      if ((*candidate)->arity() != step.arity) continue;
-      if (!RunOps(step.ops, **candidate)) continue;
-      joined_[idx] = candidate;
-      Join(idx + 1);
-    }
-  }
-
-  const Rule* rule_ = nullptr;
-  const RulePlan* plan_ = nullptr;
-  size_t event_arity_ = 0;
-  std::vector<Op> event_ops_;
-  std::vector<Step> steps_;
-  std::vector<std::pair<int32_t, const Value*>> head_src_;
-  std::vector<Value> slots_;
-  std::vector<const TupleRef*> joined_;
-  std::vector<std::vector<const TupleRef*>> cand_;  // per-depth scratch
-  const std::vector<const TupleRef*>* first_candidates_ = nullptr;
-  std::vector<RuleFiring>* out_ = nullptr;
-};
-
 }  // namespace
 
 std::vector<BatchEventFirings> FireRuleBatched(
@@ -259,34 +39,12 @@ std::vector<BatchEventFirings> FireRuleBatched(
   std::vector<BatchEventFirings> out(events.size());
   if (plan.never_fires) return out;
 
-  if (UseNaiveFallback(rule, plan, db)) {
-    // Tiny tables: mirror FireRulePlanned's fallthrough so batched and
-    // per-event evaluation stay byte-identical either side of the
-    // crossover.
-    for (size_t i = 0; i < events.size(); ++i) {
-      Result<std::vector<RuleFiring>> r = FireRule(rule, *events[i], db, fns);
-      if (r.ok()) {
-        out[i].firings = std::move(r).value();
-      } else {
-        out[i].status = r.status();
-      }
-    }
-    return out;
-  }
-
-  PlanExecutor exec(rule, plan, fns);
-  SlotExecutor slots;
-  bool use_slots =
-      events.size() >= kSlotCompileMinEvents && slots.Compile(rule, plan);
-  if (use_slots) slots.Bind(db);
+  RuleExecutor exec(rule, plan, db, fns);
   auto run_one = [&](const Tuple& event,
                      const std::vector<const TupleRef*>* first_candidates,
                      BatchEventFirings& r) {
-    if (use_slots) {
-      slots.Execute(event, first_candidates, r.firings);
-    } else {
-      r.status = exec.Execute(event, db, first_candidates, r.firings);
-    }
+    r.status = exec.Execute(event, first_candidates, r.firings);
+    if (!r.status.ok()) r.firings.clear();
   };
 
   const Table* first_table =
@@ -296,7 +54,7 @@ std::vector<BatchEventFirings> FireRuleBatched(
   if (!plan.batch_first_key || first_table == nullptr) {
     // No direct key read (or nothing to probe): the win is the shared
     // executor scratch. A missing first table still runs per event so
-    // pre-join evaluation errors surface with per-event fidelity.
+    // pre-join evaluation errors surface exactly as per event.
     for (size_t i = 0; i < events.size(); ++i) {
       run_one(*events[i], nullptr, out[i]);
     }

@@ -1,12 +1,12 @@
 // Set-at-a-time rule evaluation over a batch of same-relation events
-// (ROADMAP item 2; the VLog RuleExecutor idea adapted to the planned
-// evaluator). The runtime drains every same-(node, relation) event
-// scheduled at one simulated instant (EventQueue::DrainAtTime) and
-// evaluates each compiled RulePlan once over the whole batch instead of
-// once per tuple:
+// (VLog's set-at-a-time rule execution applied to the compiled plans).
+// The runtime drains every same-(node, relation) event scheduled at one
+// simulated instant (EventQueue::DrainAtTime) and evaluates each compiled
+// RulePlan once over the whole batch instead of once per tuple:
 //
-//   * one PlanExecutor per (rule, batch) amortizes the bindings map,
-//     trail, join scratch and probe-key buffers across every event;
+//   * one RuleExecutor (src/analysis/planner.h) per (rule, batch) — the
+//     same executor FireRulePlanned runs per event — amortizes its slot,
+//     candidate and table/index scratch across every event;
 //   * when the plan's first probe key reads straight off the event tuple
 //     (RulePlan::batch_first_key), events are hashed and chained into
 //     same-key groups (O(n), no sort), and each distinct key's index

@@ -492,11 +492,7 @@ Status System::HandleMessage(const Message& msg) {
         meta = std::move(m).value();
       }
       NodeId node = msg.dst;
-      // Intern (when enabled) so repeated identical deliveries share one
-      // allocation and its memoized identities.
-      TupleRef ev = interning_enabled_
-                        ? interner_.Intern(std::move(tuple).value())
-                        : MakeTupleRef(std::move(tuple).value());
+      TupleRef ev = MakeTupleRef(std::move(tuple).value());
       if (!program_->RulesTriggeredBy(ev->relation()).empty()) {
         Dispatch(node, ev, meta, /*is_arrival=*/true, msg.batch_tag);
       } else {

@@ -15,7 +15,6 @@
 
 #include "src/analysis/planner.h"
 #include "src/core/recorder.h"
-#include "src/db/intern.h"
 #include "src/db/table.h"
 #include "src/ndlog/eval.h"
 #include "src/ndlog/program.h"
@@ -100,13 +99,6 @@ class System {
   // injection) is appended to `log` for §3.2-style replay. Must outlive
   // the System.
   void SetReplayLog(ReplayLog* log) { replay_log_ = log; }
-
-  // When enabled, tuples deserialized from incoming messages are interned:
-  // repeated identical deliveries share one allocation (and its memoized
-  // identities) instead of re-hashing per arrival. Off by default — unique
-  // per-event workloads gain nothing from pooling.
-  void EnableInterning(bool enabled) { interning_enabled_ = enabled; }
-  const TupleInterner& interner() const { return interner_; }
 
   // Toggles set-at-a-time batch evaluation (on by default): same-instant,
   // same-(node, relation) events drain into one batch whose rules are
@@ -197,9 +189,7 @@ class System {
   ProvenanceRecorder* recorder_;
 
   ReplayLog* replay_log_ = nullptr;
-  bool interning_enabled_ = false;
   bool batch_eval_ = true;
-  TupleInterner interner_;
   ShardEngine* engine_ = nullptr;
   // Statically batchable trigger relations -> tag ordinal (>= 1), computed
   // once at construction. A trigger relation is batchable when no

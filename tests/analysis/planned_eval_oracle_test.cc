@@ -17,6 +17,7 @@
 #include "src/ndlog/eval.h"
 #include "src/ndlog/functions.h"
 #include "src/ndlog/parser.h"
+#include "src/runtime/batch_eval.h"
 #include "src/util/rng.h"
 
 namespace dpc {
@@ -124,6 +125,38 @@ TEST(PlannedEvalOracleTest, DnsFiringSetsMatch) {
   size_t firings =
       CheckOracle(program->rules(), plan.rules, db, events, fns);
   EXPECT_GT(firings, 0u);
+}
+
+// The executor's outcome is a function of the rule, the event and the
+// matching rows — never of how many other rows a table holds. The
+// constraint reads only event variables, so the plan evaluates it before
+// probing `s`, and its division by zero fails the event even though no
+// `s` row matches: at every table size, per event and batched alike.
+TEST(PlannedEvalOracleTest, OutcomeDoesNotDependOnTableSize) {
+  auto rules =
+      ParseRules("r1 h(@L, A, B) :- e(@L, A), s(@L, A, B), A / 0 > 1.");
+  ASSERT_TRUE(rules.ok()) << rules.status().ToString();
+  const Rule& rule = rules->front();
+  ProgramPlan plan = PlanRules(*rules);
+  const Tuple event = Tuple::Make("e", 0, {Value::Int(-1)});  // matches no s
+  const std::vector<const Tuple*> batch = {&event};
+
+  for (int rows : {0, 1, 16, 17, 100}) {
+    Database db;
+    for (int a = 0; a < rows; ++a) {
+      db.Insert(Tuple::Make("s", 0, {Value::Int(a), Value::Int(a * 10)}));
+    }
+    auto planned =
+        FireRulePlanned(rule, plan.rules[0], event, db, FunctionRegistry{});
+    std::vector<BatchEventFirings> batched = FireRuleBatched(
+        rule, plan.rules[0], batch, db, FunctionRegistry{});
+    ASSERT_EQ(batched.size(), 1u);
+    EXPECT_EQ(planned.status().ToString(),
+              "InvalidArgument: division by zero")
+        << rows << " rows";
+    EXPECT_EQ(batched[0].status.ToString(), planned.status().ToString())
+        << rows << " rows";
+  }
 }
 
 // Random DELP generator, richer than the key-soundness one: each rule

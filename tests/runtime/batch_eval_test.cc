@@ -1,11 +1,9 @@
 // Differential oracle for the batch evaluator (src/runtime/batch_eval.h):
 // FireRuleBatched(events)[i] must equal FireRulePlanned(events[i]) for
 // every batch member — same firings, same firing order, same joined slow
-// tuples, same status — whatever path the batch takes (naive fallthrough,
-// PlanExecutor, compiled slot executor, grouped first-key probes,
-// duplicate memoization). Exercised over the two example applications and
-// 100 seeded random DELPs, with the small-table fallback both at its
-// default and disabled so all paths are compared on the same inputs.
+// tuples, same status — whatever path the batch takes (per-event
+// execution, grouped first-key probes, duplicate memoization). Exercised
+// over the two example applications and 100 seeded random DELPs.
 #include "src/runtime/batch_eval.h"
 
 #include <gtest/gtest.h>
@@ -71,22 +69,6 @@ size_t CheckOracle(const std::vector<Rule>& rules,
   return total_firings;
 }
 
-// As CheckOracle, run twice: once with the plans as compiled (small-table
-// fallback engaged where the planner allows it) and once with the
-// fallback disabled, so the planned join path and the batch fast path are
-// compared even on small tables.
-size_t CheckOracleBothFallbacks(const std::vector<Rule>& rules,
-                                const std::vector<RulePlan>& plans,
-                                const Database& db,
-                                const std::vector<Tuple>& events,
-                                const FunctionRegistry& fns) {
-  size_t firings = CheckOracle(rules, plans, db, events, fns);
-  std::vector<RulePlan> forced = plans;
-  for (RulePlan& p : forced) p.small_table_fallback_rows = 0;
-  CheckOracle(rules, forced, db, events, fns);
-  return firings;
-}
-
 TEST(BatchEvalOracleTest, ForwardingBatchMatchesPlanned) {
   auto program = apps::MakeForwardingProgram();
   ASSERT_TRUE(program.ok());
@@ -112,8 +94,8 @@ TEST(BatchEvalOracleTest, ForwardingBatchMatchesPlanned) {
     events.push_back(Tuple::Make(
         "packet", 0, {Value::Int(0), Value::Int(1), Value::Int(42)}));
   }
-  size_t firings = CheckOracleBothFallbacks(program->rules(), plan.rules, db,
-                                            events, FunctionRegistry{});
+  size_t firings = CheckOracle(program->rules(), plan.rules, db, events,
+                               FunctionRegistry{});
   EXPECT_GT(firings, 0u);
 }
 
@@ -158,7 +140,7 @@ TEST(BatchEvalOracleTest, DnsBatchMatchesPlanned) {
       }
     }
     events.insert(events.end(), events.begin(), events.begin() + 2);  // dups
-    CheckOracleBothFallbacks(program->rules(), plan.rules, db, events, fns);
+    CheckOracle(program->rules(), plan.rules, db, events, fns);
   }
 }
 
@@ -167,7 +149,6 @@ TEST(BatchEvalTest, MemoizedDuplicatesShareRepresentativeFirings) {
       "r1 h(@L, A, B) :- e(@L, A), s(@L, A, B).");
   ASSERT_TRUE(rules.ok());
   ProgramPlan plan = PlanRules(*rules);
-  plan.rules[0].small_table_fallback_rows = 0;  // force the batch fast path
 
   Database db;
   for (int a = 0; a < 8; ++a) {
@@ -205,8 +186,7 @@ TEST(BatchEvalTest, MemoizedDuplicatesShareRepresentativeFirings) {
 
 // Random DELP generator (as planned_eval_oracle_test's): rules mix bound
 // joins, scans, cross products, assignment chains, and foldable
-// constraints — covering plans the slot executor compiles and plans it
-// must refuse (falling back to PlanExecutor inside the batch).
+// constraints — covering pure joins, scans, and pushed-down filters.
 std::string GenerateDelp(Rng& rng, int* num_rules_out) {
   int num_rules = 1 + static_cast<int>(rng.NextBelow(3));
   std::string src;
@@ -315,8 +295,7 @@ TEST_P(BatchEvalRandomOracleTest, RandomDelpBatchMatchesPlanned) {
       }
     }
     events.insert(events.end(), events.begin(), events.begin() + 6);
-    CheckOracleBothFallbacks(*rules, plan.rules, db, events,
-                             FunctionRegistry{});
+    CheckOracle(*rules, plan.rules, db, events, FunctionRegistry{});
   }
 }
 

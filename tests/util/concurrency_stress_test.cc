@@ -1,6 +1,6 @@
 // Concurrency stress tests for the objects the future sharded runtime
 // will share across worker threads: the tracer, the metrics registry, the
-// identity counters, the tuple store/interner, and the lazily memoized
+// identity counters, the tuple store, and the lazily memoized
 // tuple identities. Each test hammers one object from several threads and
 // then asserts *exact* totals — the counters are designed to lose nothing
 // under contention, not to be approximately right.
@@ -18,7 +18,6 @@
 #include <gtest/gtest.h>
 
 #include "src/core/prov_tables.h"
-#include "src/db/intern.h"
 #include "src/db/tuple.h"
 #include "src/net/transport.h"
 #include "src/obs/metrics.h"
@@ -146,14 +145,14 @@ TEST(ConcurrencyStressTest, IdentityCountersAggregateExactlyAcrossThreads) {
   IdentityCounters before = identity_counters();
   RunThreads([&](int) {
     for (int i = 0; i < kOpsPerThread; ++i) {
-      identity_cells().tuples_interned.Bump();
+      identity_cells().vid_cache_hits.Bump();
       identity_cells().tuple_bytes_serialized.Bump(3);
     }
   });
   // The worker threads have exited: their cells are retired and folded
   // into the global totals, so the delta is exact.
   IdentityCounters delta = identity_counters() - before;
-  EXPECT_EQ(delta.tuples_interned,
+  EXPECT_EQ(delta.vid_cache_hits,
             static_cast<uint64_t>(kThreads) * kOpsPerThread);
   EXPECT_EQ(delta.tuple_bytes_serialized,
             static_cast<uint64_t>(kThreads) * kOpsPerThread * 3);
@@ -204,24 +203,6 @@ TEST(ConcurrencyStressTest, ConcurrentFirstTouchIdentityIsComputedOnce) {
     }
   }
 
-}
-
-TEST(ConcurrencyStressTest, InternerReturnsCorrectContentUnderContention) {
-  TupleInterner interner;
-  constexpr int kDistinct = 32;
-  std::atomic<uint64_t> mismatches{0};
-  RunThreads([&](int t) {
-    for (int i = 0; i < kOpsPerThread / 4; ++i) {
-      int k = (t + i) % kDistinct;
-      Tuple want = Tuple::Make("intern", k, {Value::Int(i % 3)});
-      TupleRef got = interner.Intern(want);
-      if (!(*got == want)) mismatches.fetch_add(1);
-    }
-  });
-  EXPECT_EQ(mismatches.load(), 0u);
-  // 3 payload variants per key relation/location pair.
-  EXPECT_LE(interner.size(), static_cast<size_t>(kDistinct) * 3);
-  EXPECT_EQ(interner.flushes(), 0u);
 }
 
 TEST(ConcurrencyStressTest, TupleStoreConcurrentPutsDeduplicateByVid) {
